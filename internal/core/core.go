@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/gml"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/match"
 	"repro/internal/mediator"
 	"repro/internal/navigate"
+	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/sources/geneontology"
 	"repro/internal/sources/locuslink"
@@ -227,7 +229,10 @@ func (s *System) Ask(q Question) (*View, *mediator.Stats, error) {
 	return s.AskCtx(context.Background(), q)
 }
 
-// AskCtx is Ask recording into the request trace carried by ctx.
+// AskCtx is Ask recording into the request trace carried by ctx. The
+// answer's rows are built once per lorel.Result (a cached answer is shared
+// by every hit) and each call returns a private copy of them; the view
+// stage spans that lookup or build plus the copy.
 func (s *System) AskCtx(ctx context.Context, q Question) (*View, *mediator.Stats, error) {
 	src, err := s.ToLorel(q)
 	if err != nil {
@@ -237,8 +242,16 @@ func (s *System) AskCtx(ctx context.Context, q Question) (*View, *mediator.Stats
 	if err != nil {
 		return nil, nil, err
 	}
-	v := buildView(res, stats)
-	v.Question = src
+	tr := obs.TraceFrom(ctx)
+	var t0 time.Time
+	if tr != nil {
+		t0 = obs.Now()
+	}
+	v := &View{Question: src, Rows: copyRows(viewRows(res))}
+	if stats != nil {
+		v.Conflicts = len(stats.Conflicts)
+	}
+	tr.Span(obs.StageView, t0)
 	return v, stats, nil
 }
 
@@ -267,51 +280,98 @@ type View struct {
 	Conflicts int
 }
 
-func buildView(res *lorel.Result, stats *mediator.Stats) *View {
-	v := &View{}
-	if stats != nil {
-		v.Conflicts = len(stats.Conflicts)
+// viewRows returns the answer's rows sorted by Symbol, built on the first
+// call for res and memoized on it. The rows are shared by every caller of
+// the same Result: they are read-only, and AskCtx hands out copies.
+func viewRows(res *lorel.Result) []ViewRow {
+	return res.Memo(func() any {
+		g := res.Graph
+		genes := g.Children(res.Answer, "G")
+		rows := make([]ViewRow, 0, len(genes))
+		for _, oid := range genes {
+			rows = append(rows, geneRow(g, oid))
+		}
+		sort.Slice(rows, func(i, j int) bool { return rows[i].Symbol < rows[j].Symbol })
+		return rows
+	}).([]ViewRow)
+}
+
+// geneRow builds the integrated row of one gene object, from an answer
+// graph (Ask) or the fused graph (AnnotateBatch) alike.
+func geneRow(g *oem.Graph, oid oem.OID) ViewRow {
+	row := ViewRow{
+		Symbol:   g.StringUnder(oid, "Symbol"),
+		Organism: g.StringUnder(oid, "Organism"),
+		Position: g.StringUnder(oid, "Position"),
 	}
-	g := res.Graph
-	for _, oid := range g.Children(res.Answer, "G") {
-		row := ViewRow{
-			Symbol:   g.StringUnder(oid, "Symbol"),
-			Organism: g.StringUnder(oid, "Organism"),
-			Position: g.StringUnder(oid, "Position"),
+	row.GeneID, _ = g.IntUnder(oid, "GeneID")
+	for _, a := range g.Children(oid, "Annotation") {
+		if id := g.StringUnder(a, "GoID"); id != "" {
+			row.GoIDs = append(row.GoIDs, id)
 		}
-		row.GeneID, _ = g.IntUnder(oid, "GeneID")
-		for _, a := range g.Children(oid, "Annotation") {
-			if id := g.StringUnder(a, "GoID"); id != "" {
-				row.GoIDs = append(row.GoIDs, id)
-			}
-		}
-		for _, d := range g.Children(oid, "Disease") {
-			if mim, ok := g.IntUnder(d, "MimNumber"); ok {
-				row.MimIDs = append(row.MimIDs, mim)
-			}
-		}
-		for _, p := range g.Children(oid, "Protein") {
-			if acc := g.StringUnder(p, "Accession"); acc != "" {
-				row.Proteins = append(row.Proteins, acc)
-			}
-		}
-		if wl := g.StringUnder(oid, "WebLink"); wl != "" {
-			row.WebLinks = append(row.WebLinks, wl)
-		}
-		if links := g.Child(oid, "Links"); links != 0 {
-			for _, t := range g.Get(links).Refs {
-				if o := g.Get(t.Target); o != nil && o.Kind == oem.KindURL {
-					row.WebLinks = append(row.WebLinks, o.Str)
-				}
-			}
-		}
-		sort.Strings(row.GoIDs)
-		sort.Slice(row.MimIDs, func(i, j int) bool { return row.MimIDs[i] < row.MimIDs[j] })
-		sort.Strings(row.Proteins)
-		v.Rows = append(v.Rows, row)
 	}
-	sort.Slice(v.Rows, func(i, j int) bool { return v.Rows[i].Symbol < v.Rows[j].Symbol })
-	return v
+	for _, d := range g.Children(oid, "Disease") {
+		if mim, ok := g.IntUnder(d, "MimNumber"); ok {
+			row.MimIDs = append(row.MimIDs, mim)
+		}
+	}
+	for _, p := range g.Children(oid, "Protein") {
+		if acc := g.StringUnder(p, "Accession"); acc != "" {
+			row.Proteins = append(row.Proteins, acc)
+		}
+	}
+	if wl := g.StringUnder(oid, "WebLink"); wl != "" {
+		row.WebLinks = append(row.WebLinks, wl)
+	}
+	if links := g.Child(oid, "Links"); links != 0 {
+		for _, t := range g.Get(links).Refs {
+			if o := g.Get(t.Target); o != nil && o.Kind == oem.KindURL {
+				row.WebLinks = append(row.WebLinks, o.Str)
+			}
+		}
+	}
+	sort.Strings(row.GoIDs)
+	sort.Slice(row.MimIDs, func(i, j int) bool { return row.MimIDs[i] < row.MimIDs[j] })
+	sort.Strings(row.Proteins)
+	return row
+}
+
+// copyRows returns a private copy of rows in three allocations: the rows,
+// and one backing array each for their string and int64 lists. Each list
+// is capacity-clipped, so a caller's append reallocates instead of
+// overwriting the next row's list. Empty views stay nil.
+func copyRows(rows []ViewRow) []ViewRow {
+	if len(rows) == 0 {
+		return nil
+	}
+	var ns, ni int
+	for i := range rows {
+		r := &rows[i]
+		ns += len(r.GoIDs) + len(r.Proteins) + len(r.WebLinks)
+		ni += len(r.MimIDs)
+	}
+	out := make([]ViewRow, len(rows))
+	strs := make([]string, 0, ns)
+	ints := make([]int64, 0, ni)
+	for i, r := range rows {
+		r.GoIDs, strs = carve(strs, r.GoIDs)
+		r.MimIDs, ints = carve(ints, r.MimIDs)
+		r.Proteins, strs = carve(strs, r.Proteins)
+		r.WebLinks, strs = carve(strs, r.WebLinks)
+		out[i] = r
+	}
+	return out
+}
+
+// carve appends src to buf and returns the appended part, capacity-clipped,
+// with the grown buf. A nil src stays nil.
+func carve[T any](buf, src []T) ([]T, []T) {
+	if src == nil {
+		return nil, buf
+	}
+	n := len(buf)
+	buf = append(buf, src...)
+	return buf[n:len(buf):len(buf)], buf
 }
 
 // Format renders the view as an aligned text table.
@@ -390,7 +450,7 @@ func (s *System) AnnotateBatch(symbols []string, workers int) ([]BatchResult, er
 					out[i].Err = fmt.Errorf("core: unknown gene %q", sym)
 					return
 				}
-				row := rowFromFused(fused, oid)
+				row := geneRow(fused, oid)
 				out[i].Row = &row
 			}(i, sym)
 		}
@@ -401,28 +461,6 @@ func (s *System) AnnotateBatch(symbols []string, workers int) ([]BatchResult, er
 		return nil, err
 	}
 	return out, nil
-}
-
-func rowFromFused(g *oem.Graph, oid oem.OID) ViewRow {
-	row := ViewRow{
-		Symbol:   g.StringUnder(oid, "Symbol"),
-		Organism: g.StringUnder(oid, "Organism"),
-		Position: g.StringUnder(oid, "Position"),
-	}
-	row.GeneID, _ = g.IntUnder(oid, "GeneID")
-	for _, a := range g.Children(oid, "Annotation") {
-		if id := g.StringUnder(a, "GoID"); id != "" {
-			row.GoIDs = append(row.GoIDs, id)
-		}
-	}
-	for _, d := range g.Children(oid, "Disease") {
-		if mim, ok := g.IntUnder(d, "MimNumber"); ok {
-			row.MimIDs = append(row.MimIDs, mim)
-		}
-	}
-	sort.Strings(row.GoIDs)
-	sort.Slice(row.MimIDs, func(i, j int) bool { return row.MimIDs[i] < row.MimIDs[j] })
-	return row
 }
 
 // Figure5bQuestion is the paper's running example as a Question value.

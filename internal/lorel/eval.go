@@ -2,6 +2,7 @@ package lorel
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/oem"
 )
@@ -20,6 +21,25 @@ type Result struct {
 	// Bindings counts the variable assignments that satisfied the where
 	// clause (for optimizer statistics).
 	Bindings int
+
+	memo atomic.Pointer[any] // see Memo
+}
+
+// Memo returns the value build derives from this result, calling build
+// only on first use. A Result is immutable once returned and may be shared
+// by every hit of a cached query, so a derived value (the core package's
+// view rows) is computed once per Result and lives exactly as long as it.
+// Concurrent first callers may each run build; one value wins and every
+// caller gets it. The memoized value is shared: callers must not mutate it.
+func (r *Result) Memo(build func() any) any {
+	if p := r.memo.Load(); p != nil {
+		return *p
+	}
+	v := build()
+	if r.memo.CompareAndSwap(nil, &v) {
+		return v
+	}
+	return *r.memo.Load()
 }
 
 // Size returns the number of edges on the answer object.

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/oem"
@@ -559,5 +560,41 @@ func TestIndexedAndScannedLabelMatchingAgree(t *testing.T) {
 	indexed := EvalPath(g, steps, []oem.OID{root})
 	if len(scanned) != 1 || len(indexed) != 1 || scanned[0] != indexed[0] {
 		t.Fatalf("scan matched %v, index matched %v — label folding diverges", scanned, indexed)
+	}
+}
+
+// TestResultMemo: Memo builds a Result's derived value once and hands every
+// caller, concurrent first callers included, the same value.
+func TestResultMemo(t *testing.T) {
+	res, err := Eval(testGraph(t), MustParse(`select G from DB.Gene G`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var builds atomic.Int32
+	build := func() any {
+		builds.Add(1)
+		return &struct{ n int }{res.Size()}
+	}
+	var wg sync.WaitGroup
+	got := make([]any, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = res.Memo(build)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("caller %d got a different value than caller 0", i)
+		}
+	}
+	n := builds.Load()
+	if n < 1 || n > int32(len(got)) {
+		t.Fatalf("%d builds for %d callers", n, len(got))
+	}
+	if res.Memo(build) != got[0] || builds.Load() != n {
+		t.Error("a later Memo call rebuilt or replaced the value")
 	}
 }

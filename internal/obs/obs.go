@@ -106,6 +106,7 @@ const (
 	StageFeedPublish      = "feed_publish"
 	StageRetry            = "fetch_retry"
 	StageProbe            = "health_probe"
+	StageView             = "view"
 )
 
 // knownStages lists every constant above, in recording order, for the
@@ -115,5 +116,5 @@ var knownStages = []string{
 	StagePlanCompile, StagePushdown, StageFetch, StageFuse, StageEval,
 	StageDiff, StageDeltaPatch, StageWALAppend, StageCheckpoint,
 	StageRestore, StageInvalidate, StageStandingEval, StageFeedPublish,
-	StageRetry, StageProbe,
+	StageRetry, StageProbe, StageView,
 }
